@@ -64,6 +64,11 @@ type obs struct {
 	staleAfter time.Duration
 }
 
+// readHeaderTimeout bounds how long an HTTP client may take to send its
+// request headers. Without it, a client that never finishes them holds
+// its connection open for as long as the daemon runs.
+const readHeaderTimeout = 5 * time.Second
+
 type obsView struct {
 	m fleet.MetricsSnapshot
 }
@@ -192,7 +197,7 @@ func run(args []string, stdout io.Writer) error {
 			surface += " /debug/pprof"
 		}
 		fmt.Fprintf(stdout, "listening on http://%s (%s)\n", ln.Addr(), surface)
-		srv := &http.Server{Handler: newMux(st, *pprofOn)}
+		srv := &http.Server{Handler: newMux(st, *pprofOn), ReadHeaderTimeout: readHeaderTimeout}
 		go srv.Serve(ln)
 		defer srv.Close()
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -165,6 +166,35 @@ func TestPprofEndpoints(t *testing.T) {
 	addr = waitForAddr(t, &out)
 	if code := status("/debug/pprof/"); code != http.StatusNotFound {
 		t.Errorf("GET /debug/pprof/ without -pprof: status %d, want 404", code)
+	}
+	sigterm(t, done)
+}
+
+// TestSlowHeadersTimeOut: a client that connects and never finishes its
+// request headers must be cut off after readHeaderTimeout rather than
+// holding its connection open for the daemon's lifetime.
+func TestSlowHeadersTimeOut(t *testing.T) {
+	var out syncBuffer
+	done := make(chan error, 1)
+	args := append(baseArgs(), "-days", "100000", "-throttle", "25ms",
+		"-listen", "127.0.0.1:0")
+	go func() { done <- run(args, &out) }()
+	addr := waitForAddr(t, &out)
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /healthz HTTP/1.1\r\nHost: cgnsimd\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if err := conn.SetReadDeadline(start.Add(readHeaderTimeout + 5*time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("connection with unfinished headers still open after %v: %v", time.Since(start).Round(time.Second), err)
 	}
 	sigterm(t, done)
 }

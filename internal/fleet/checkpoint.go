@@ -170,10 +170,9 @@ func (s *Sim) Checkpoint() *Checkpoint {
 		rc.Subs = make([]SubCkpt, len(r.subs))
 		for j := range r.subs {
 			rc.Subs[j] = SubCkpt{Class: uint8(r.subs[j].class), Active: r.subs[j].active}
-			for idx := r.subs[j].head; idx >= 0; idx = r.arena[idx].next {
-				nd := &r.arena[idx]
-				rc.Flows = append(rc.Flows, FlowCkpt{Sub: int32(j), F: nd.f, TicksLeft: nd.ticksLeft})
-			}
+			r.flows.Walk(r.subs[j].flows, func(f netaddr.Flow, _ nat.MappingRef, ticksLeft int32) {
+				rc.Flows = append(rc.Flows, FlowCkpt{Sub: int32(j), F: f, TicksLeft: ticksLeft})
+			})
 		}
 		switch e := r.eng.(type) {
 		case *nat.NAT:
@@ -234,6 +233,15 @@ func Resume(cfg Config, ck *Checkpoint) (*Sim, error) {
 		if len(rc.EvRing) != ringLen || len(rc.EnRing) != ringLen {
 			return nil, fmt.Errorf("fleet: realm %d observation rings have %d/%d days, configuration implies %d", i, len(rc.EvRing), len(rc.EnRing), ringLen)
 		}
+		provision, poolSize := 0, len(d.Carriers[i].NAT.ExternalIPs)
+		for _, ev := range s.events[:s.evIdx] {
+			if ev.Carrier == i && ev.Kind == EventReprovision {
+				provision, poolSize = provision+1, ev.Arg
+			}
+		}
+		if rc.Provision != provision || rc.PoolSize != poolSize {
+			return nil, fmt.Errorf("fleet: realm %d records provisioning round %d with %d IPs, timeline implies round %d with %d", i, rc.Provision, rc.PoolSize, provision, poolSize)
+		}
 		r := &realmSim{
 			idx:        i,
 			spec:       d.Carriers[i],
@@ -241,7 +249,6 @@ func Resume(cfg Config, ck *Checkpoint) (*Sim, error) {
 			provision:  rc.Provision,
 			poolSize:   rc.PoolSize,
 			epoch:      rc.Epoch,
-			freeHead:   -1,
 			fr:         traffic.NewFastRand(rc.Fr),
 			dstSeq:     rc.DstSeq,
 			created:    rc.Created,
@@ -264,7 +271,7 @@ func Resume(cfg Config, ck *Checkpoint) (*Sim, error) {
 			if sc.Class > uint8(traffic.Heavy) {
 				return nil, fmt.Errorf("fleet: realm %d subscriber %d has unknown class %d", i, j, sc.Class)
 			}
-			r.subs[j] = fleetSub{class: traffic.Class(sc.Class), active: sc.Active, head: -1, tail: -1}
+			r.subs[j] = fleetSub{class: traffic.Class(sc.Class), active: sc.Active}
 		}
 		if rc.Enabled {
 			ecfg := r.engineConfig()
@@ -324,17 +331,8 @@ func Resume(cfg Config, ck *Checkpoint) (*Sim, error) {
 			if int(fc.Sub) < 0 || int(fc.Sub) >= len(r.subs) {
 				return nil, fmt.Errorf("fleet: realm %d flow %d names subscriber %d of %d", i, fi, fc.Sub, len(r.subs))
 			}
-			sub := &r.subs[fc.Sub]
-			nd := flowNode{f: fc.F, ticksLeft: fc.TicksLeft, next: -1}
-			nd.ref, _ = r.eng.RefForFlow(fc.F)
-			r.arena = append(r.arena, nd)
-			ni := int32(len(r.arena) - 1)
-			if sub.tail >= 0 {
-				r.arena[sub.tail].next = ni
-			} else {
-				sub.head = ni
-			}
-			sub.tail = ni
+			ref, _ := r.eng.RefForFlow(fc.F)
+			r.flows.Push(&r.subs[fc.Sub].flows, fc.F, ref, fc.TicksLeft)
 		}
 		s.realms = append(s.realms, r)
 	}

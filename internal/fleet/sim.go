@@ -17,8 +17,7 @@ import (
 // it sequentially within a realm, so the shard count is an execution
 // detail that never shows in results.
 type engine interface {
-	TranslateOutRef(f netaddr.Flow, now time.Time) (netaddr.Flow, nat.MappingRef, nat.Verdict)
-	Refresh(r nat.MappingRef, dst netaddr.Endpoint, now time.Time) bool
+	traffic.FlowEngine
 	RefForFlow(f netaddr.Flow) (nat.MappingRef, bool)
 	Sweep(now time.Time) int
 	SetMappingHooks(onCreate, onExpire func(m *nat.Mapping))
@@ -39,23 +38,13 @@ func newEngine(cfg nat.Config, shards int) engine {
 // fleetSub is one subscriber of a realm. The address is derived — realm
 // base plus index — and never stored. Churned-out subscribers stay in
 // the slice (indices are stable identities) with active cleared; their
-// remaining mappings idle out on their own.
+// remaining mappings idle out on their own. flows is the subscriber's
+// list in the realm's flow arena.
 type fleetSub struct {
-	class      traffic.Class
-	active     bool
-	head, tail int32
-	live       int32
-}
-
-// flowNode is one live flow in the realm arena, linked per subscriber
-// in arrival (FIFO) order and recycled through the freelist — the same
-// shape as the traffic engine's arena, so steady-state ticks never
-// allocate.
-type flowNode struct {
-	f         netaddr.Flow
-	ref       nat.MappingRef
-	ticksLeft int32
-	next      int32
+	class  traffic.Class
+	active bool
+	flows  traffic.FlowList
+	live   int32
 }
 
 // fleetSubBase anchors each realm's dense internal address block; the
@@ -79,8 +68,7 @@ type realmSim struct {
 
 	subs      []fleetSub
 	classSubs [3]int // active subscribers per class
-	arena     []flowNode
-	freeHead  int32
+	flows     traffic.FlowArena
 	fr        traffic.FastRand
 	dstSeq    uint64
 
@@ -250,10 +238,9 @@ func (r *realmSim) teardown() {
 	r.failFolded += r.eng.PortStats().Failures()
 	r.eng = nil
 	r.frLanes, r.dstSeqs = nil, nil
-	r.arena = r.arena[:0]
-	r.freeHead = -1
+	r.flows = traffic.FlowArena{}
 	for j := range r.subs {
-		r.subs[j].head, r.subs[j].tail, r.subs[j].live = -1, -1, 0
+		r.subs[j].flows, r.subs[j].live = traffic.FlowList{}, 0
 	}
 	r.rebuildLC()
 }
@@ -289,7 +276,7 @@ func (r *realmSim) addSubscribers(n int, p traffic.Profile) {
 		case x < p.HeavyFrac+p.LightFrac:
 			class = traffic.Light
 		}
-		r.subs = append(r.subs, fleetSub{class: class, active: true, head: -1, tail: -1})
+		r.subs = append(r.subs, fleetSub{class: class, active: true})
 	}
 }
 
@@ -330,13 +317,7 @@ func (r *realmSim) apply(ev Event, p traffic.Profile, shards int) {
 				continue
 			}
 			sub.active = false
-			for idx := sub.head; idx >= 0; {
-				next := r.arena[idx].next
-				r.arena[idx].next = r.freeHead
-				r.freeHead = int32(idx)
-				idx = next
-			}
-			sub.head, sub.tail = -1, -1
+			r.flows.Release(&sub.flows)
 			left--
 		}
 		r.addSubscribers(ev.Arg, p)
@@ -371,9 +352,7 @@ func (r *realmSim) apply(ev Event, p traffic.Profile, shards int) {
 			for j := range r.subs {
 				r.subs[j].live = 0
 			}
-			for idx := range r.arena {
-				r.arena[idx].ref = nat.MappingRef{}
-			}
+			r.flows.ClearRefs()
 			r.provisionEngine(shards)
 			if sn, ok := r.eng.(*nat.Sharded); ok {
 				for l, dn := range downs {
@@ -392,21 +371,12 @@ func (r *realmSim) activeSubscribers() int {
 	return r.classSubs[0] + r.classSubs[1] + r.classSubs[2]
 }
 
-// runDay drives the realm through one virtual day: the same
-// refresh/arrive/sample tick the traffic engine runs, against the
-// realm's live engine, then the day's observation bits into the rings.
-// The two engine universes have distinct tick bodies: the legacy one
-// gates every subscriber on the realm stream (byte-identical to every
-// prior release), the sharded one skip-samples arrivals on per-lane
-// streams like the sharded traffic engine.
+// runDay drives the realm through one virtual day of ticks against its
+// live engine, then records the day's observation bits into the rings.
 func (r *realmSim) runDay(day int, p traffic.Profile, obs ObservationConfig, seed int64) {
 	r.dayBaseCreated = r.created
 	if r.eng != nil {
-		if _, ok := r.eng.(*nat.Sharded); ok {
-			r.runDaySharded(day, p)
-		} else {
-			r.runDayLegacy(day, p)
-		}
+		r.runTicks(day, p)
 	}
 	// The day's observation bits. A CGN-active day (enabled, traffic
 	// actually translated) is seen with VantageProb — the chance the
@@ -421,62 +391,23 @@ func (r *realmSim) runDay(day int, p traffic.Profile, obs ObservationConfig, see
 	}
 }
 
-// runDayLegacy is the legacy universe's day: one Poisson gate per
-// subscriber per tick on the realm's private draw stream — the draw
-// sequence every Shards == 0 golden depends on, kept verbatim.
-func (r *realmSim) runDayLegacy(day int, p traffic.Profile) {
+// runTicks is the day's tick loop — sweep, refresh every live flow, draw
+// the tick's arrivals, sample — on the traffic engine's flow arena. The
+// engine universes differ only in the arrival draw. The legacy one gates
+// every active subscriber on the realm stream, right after its refresh:
+// the draw sequence every Shards == 0 golden depends on. The sharded one
+// refreshes everyone first, then skip-samples arrivals over the
+// per-lane, per-class lists on per-lane streams exactly like the sharded
+// traffic engine (fleet drives a realm sequentially, so shard count
+// still never shows in results).
+func (r *realmSim) runTicks(day int, p traffic.Profile) {
 	var rates [3]float64
-	for c := 0; c < 3; c++ {
+	for c := range rates {
 		rates[c] = p.FlowsPerTick * traffic.ClassRate(p, traffic.Class(c))
 	}
 	holdSpan := uint32(2*p.FlowHoldTicks - 1)
-	epoch := time.Unix(0, 0)
-	for t := day * p.DayTicks; t < (day+1)*p.DayTicks; t++ {
-		now := epoch.Add(time.Duration(t) * p.TickStep)
-		r.eng.Sweep(now)
-		df := traffic.DiurnalFactor(p, t)
-		var expNegLambda [3]float64
-		for c := range rates {
-			expNegLambda[c] = math.Exp(-(rates[c] * df))
-		}
-		for j := range r.subs {
-			sub := &r.subs[j]
-			if !sub.active {
-				continue
-			}
-			addr := subAddr(j)
-			r.refreshFlows(sub, now)
-			// Poisson arrivals under the diurnal curve, one gate per
-			// subscriber, from the realm's private draw stream.
-			k := 0
-			if rates[sub.class]*df > 0 {
-				k = r.fr.Poisson(expNegLambda[sub.class])
-			}
-			for ; k > 0; k-- {
-				r.dstSeq++
-				f := netaddr.FlowOf(netaddr.UDP,
-					netaddr.EndpointOf(addr, uint16(1024+r.fr.Intn(64512))),
-					netaddr.EndpointOf(trafficDstBase+netaddr.Addr(uint32(r.dstSeq)), uint16(443+(r.dstSeq>>32))))
-				hold := 1 + r.fr.Intn(holdSpan)
-				r.openFlow(sub, f, int32(hold), now)
-			}
-		}
-		r.sampleTick()
-	}
-}
-
-// runDaySharded is the sharded universe's day: arrivals decode by
-// geometric skip-sampling over the per-lane, per-class subscriber lists
-// on per-lane streams — tick cost scales with arrivals and live flows,
-// not population, and the draw sequences are lane-confined exactly like
-// the sharded traffic engine's (fleet drives a realm sequentially, so
-// shard count still never shows in results).
-func (r *realmSim) runDaySharded(day int, p traffic.Profile) {
-	var rates [3]float64
-	for c := 0; c < 3; c++ {
-		rates[c] = p.FlowsPerTick * traffic.ClassRate(p, traffic.Class(c))
-	}
-	holdSpan := uint32(2*p.FlowHoldTicks - 1)
+	eng := traffic.FlowEngine(r.eng)
+	_, sharded := r.eng.(*nat.Sharded)
 	epoch := time.Unix(0, 0)
 	for t := day * p.DayTicks; t < (day+1)*p.DayTicks; t++ {
 		now := epoch.Add(time.Duration(t) * p.TickStep)
@@ -489,11 +420,20 @@ func (r *realmSim) runDaySharded(day int, p traffic.Profile) {
 		}
 		for j := range r.subs {
 			sub := &r.subs[j]
-			if !sub.active || sub.head < 0 {
+			if !sub.active {
 				continue
 			}
-			r.refreshFlows(sub, now)
+			refreshed, _, _ := r.flows.Refresh(&sub.flows, eng, now)
+			r.refreshes += uint64(refreshed)
+			if sharded || lambda[sub.class] <= 0 {
+				continue
+			}
+			for k := r.fr.Poisson(expNeg[sub.class]); k > 0; k-- {
+				f, hold := r.fr.ArrivalFlow(subAddr(j), &r.dstSeq, holdSpan)
+				r.flows.Open(&sub.flows, eng, f, hold, now)
+			}
 		}
+		// Lane lists exist only in the sharded universe.
 		for l := range r.laneSubs {
 			fr := &r.frLanes[l]
 			for c := 0; c < 3; c++ {
@@ -502,81 +442,16 @@ func (r *realmSim) runDaySharded(day int, p traffic.Profile) {
 				}
 				list := r.laneSubs[l][c]
 				traffic.ForEachArrival(fr, len(list), lambda[c], expNeg[c], func(i, k int) {
-					j := list[i]
+					j := int(list[i])
 					sub := &r.subs[j]
-					addr := subAddr(int(j))
 					for ; k > 0; k-- {
-						r.dstSeqs[l]++
-						seq := r.dstSeqs[l]
-						f := netaddr.FlowOf(netaddr.UDP,
-							netaddr.EndpointOf(addr, uint16(1024+fr.Intn(64512))),
-							netaddr.EndpointOf(trafficDstBase+netaddr.Addr(uint32(seq)), uint16(443+(seq>>32))))
-						hold := 1 + fr.Intn(holdSpan)
-						r.openFlow(sub, f, int32(hold), now)
+						f, hold := fr.ArrivalFlow(subAddr(j), &r.dstSeqs[l], holdSpan)
+						r.flows.Open(&sub.flows, eng, f, hold, now)
 					}
 				})
 			}
 		}
 		r.sampleTick()
-	}
-}
-
-// refreshFlows walks one subscriber's flow list: live flows refresh
-// their mappings (stale handles fall back to the full translation
-// path), and flows that expire or can get no mapping die back to the
-// freelist.
-func (r *realmSim) refreshFlows(sub *fleetSub, now time.Time) {
-	prev := int32(-1)
-	for idx := sub.head; idx >= 0; {
-		nd := &r.arena[idx]
-		next := nd.next
-		ok := r.eng.Refresh(nd.ref, nd.f.Dst, now)
-		if !ok {
-			var v nat.Verdict
-			_, nd.ref, v = r.eng.TranslateOutRef(nd.f, now)
-			ok = v == nat.Ok
-		}
-		if ok {
-			r.refreshes++
-		}
-		nd.ticksLeft--
-		if nd.ticksLeft > 0 && ok {
-			prev = idx
-		} else {
-			if prev >= 0 {
-				r.arena[prev].next = next
-			} else {
-				sub.head = next
-			}
-			if next < 0 {
-				sub.tail = prev
-			}
-			nd.next = r.freeHead
-			r.freeHead = idx
-		}
-		idx = next
-	}
-}
-
-// openFlow translates a fresh flow and, on success, links it onto the
-// subscriber's list from the arena freelist.
-func (r *realmSim) openFlow(sub *fleetSub, f netaddr.Flow, hold int32, now time.Time) {
-	if _, ref, v := r.eng.TranslateOutRef(f, now); v == nat.Ok {
-		var ni int32
-		if r.freeHead >= 0 {
-			ni = r.freeHead
-			r.freeHead = r.arena[ni].next
-		} else {
-			r.arena = append(r.arena, flowNode{})
-			ni = int32(len(r.arena) - 1)
-		}
-		r.arena[ni] = flowNode{f: f, ref: ref, ticksLeft: hold, next: -1}
-		if sub.tail >= 0 {
-			r.arena[sub.tail].next = ni
-		} else {
-			sub.head = ni
-		}
-		sub.tail = ni
 	}
 }
 
@@ -591,9 +466,6 @@ func (r *realmSim) sampleTick() {
 		}
 	}
 }
-
-// trafficDstBase mirrors the traffic engine's synthetic remote space.
-var trafficDstBase = netaddr.MustParseAddr("8.0.0.0")
 
 // Observation sampling salts.
 const (
@@ -674,7 +546,6 @@ func New(cfg Config) (*Sim, error) {
 			idx:      i,
 			spec:     spec,
 			poolSize: len(spec.NAT.ExternalIPs),
-			freeHead: -1,
 			fr:       traffic.NewFastRand(uint64(d.Seed + int64(i+1)*realmSeedMix)),
 			evRing:   make([]bool, ringLen),
 			enRing:   make([]bool, ringLen),

@@ -156,6 +156,12 @@ func (n *NAT) Snapshot() *Snapshot {
 	return s
 }
 
+// maxDrawsPerAttempt bounds the random values one allocation attempt
+// draws: at most two allocate calls (an eviction retries once), each a
+// pool pick, a chunk pick or cursor seed and up to 33 port probes, with
+// headroom for Intn's rare rejection redraws.
+const maxDrawsPerAttempt = 128
+
 // NewFromSnapshot rebuilds an engine from a snapshot taken under the
 // same configuration. Every error return names what is inconsistent; a
 // malformed snapshot never panics the restore.
@@ -166,6 +172,14 @@ func NewFromSnapshot(cfg Config, s *Snapshot) (*NAT, error) {
 	n := New(cfg)
 	if sig := configSig(n.cfg); sig != s.ConfigSig {
 		return nil, fmt.Errorf("nat: restore: config signature %s does not match snapshot %s (the snapshot was taken under a different configuration)", sig, s.ConfigSig)
+	}
+	// Restore replays the stream position draw by draw, so a corrupt
+	// position could stall it for centuries. Every draw belongs to an
+	// allocation attempt, and every attempt ends as a created mapping or
+	// a no-ports drop, which bounds a genuine position.
+	attempts := s.Counters["mappings_created"] + s.Counters["drop_no_ports"]
+	if draws := s.Rand63 + s.Rand64; draws < s.Rand63 || draws/maxDrawsPerAttempt > attempts {
+		return nil, fmt.Errorf("nat: restore: random stream at %d+%d draws, beyond what %d allocation attempts can draw", s.Rand63, s.Rand64, attempts)
 	}
 	n.rngSrc.replay(s.Rand63, s.Rand64)
 	n.rrNext = s.RRNext
@@ -200,6 +214,9 @@ func NewFromSnapshot(cfg Config, s *Snapshot) (*NAT, error) {
 		k := n.intKeyFor(netaddr.Flow{Proto: ms.Proto, Src: ms.Int, Dst: ms.Dst0})
 		if n.byInt.get(k) != nil {
 			return nil, fmt.Errorf("nat: restore: duplicate mapping key for %v %v", ms.Proto, ms.Int)
+		}
+		if !n.IsExternal(ms.Ext.Addr) {
+			return nil, fmt.Errorf("nat: restore: mapping for %v holds %v, outside the external pool", ms.Int, ms.Ext.Addr)
 		}
 		if !n.ports.isFree(ms.Ext.Addr, ms.Proto, ms.Ext.Port) {
 			return nil, fmt.Errorf("nat: restore: external endpoint %v/%v claimed twice", ms.Ext, ms.Proto)

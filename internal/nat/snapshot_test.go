@@ -247,6 +247,29 @@ func TestSnapshotRejectsCorruptState(t *testing.T) {
 	}
 }
 
+// TestSnapshotRejectsForeignState covers what a damaged checkpoint can
+// smuggle past the structural checks: a mapping holding an external IP
+// outside the pool (a sharded engine later finds no lane for it), and a
+// random-stream position no allocation history explains (the restore
+// would replay draws for as long as the corrupt count says).
+func TestSnapshotRejectsForeignState(t *testing.T) {
+	cfg := snapshotConfigs()["sequential-arbitrary"]
+	n := New(cfg)
+	driveOps(n, scriptOps(3, 8, 4, 6), 0, 4)
+
+	foreign := *n.Snapshot()
+	foreign.Mappings[0].Ext.Addr = netaddr.MustParseAddr("192.0.2.99")
+	if _, err := NewFromSnapshot(cfg, &foreign); err == nil {
+		t.Fatal("external endpoint outside the pool accepted")
+	}
+
+	draws := *n.Snapshot()
+	draws.Rand63 = 1 << 62
+	if _, err := NewFromSnapshot(cfg, &draws); err == nil {
+		t.Fatal("random stream position beyond the allocation history accepted")
+	}
+}
+
 // TestCountingSourceTransparent pins the pass-through property the
 // golden digests depend on: an engine drawing through countingSource
 // produces exactly the stream a bare math/rand source would.

@@ -195,19 +195,3 @@ func (f FaultPlan) boundaries(lanes int, salt uint64) map[int]*faultBoundary {
 	}
 	return b
 }
-
-// Rebucket moves one class-c subscriber from bucket 0 to bucket v,
-// growing as far as needed — unlike Move's single doubling (sized for
-// hooks' ±1 steps), the fault-boundary census rebuild jumps a
-// subscriber straight to its live count.
-func (lc *LiveCounts) Rebucket(c Class, v int32) {
-	s := lc.cnt[c]
-	s[0]--
-	for int(v) >= len(s) {
-		grown := make([]uint64, 2*len(s))
-		copy(grown, s)
-		lc.cnt[c] = grown
-		s = grown
-	}
-	s[v]++
-}

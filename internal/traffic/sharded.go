@@ -59,13 +59,10 @@ type shardState struct {
 	// subscriber order); scratch is the merge buffer the two swap
 	// through.
 	active, fresh, scratch []int32
-	// The shard flow arena: the shard's subscribers' flow lists live in
-	// one slice, dead nodes chain through the freelist, exactly like the
-	// legacy engine's realm arena (head/tail in subscriber index into
-	// the owning shard's arena — well defined, a subscriber has exactly
-	// one).
-	arena    []flowNode
-	freeHead int32
+	// flows holds the shard's subscribers' flow lists (a subscriber's
+	// list indexes the owning shard's arena — well defined, a
+	// subscriber has exactly one).
+	flows FlowArena
 	// emit is the shard's arrival sink, allocated once at setup and
 	// parameterized through curLane/curList/curLn/curFr so the per-tick
 	// decode passes allocate nothing. atkEmit is its adversarial twin:
@@ -225,8 +222,7 @@ func runRealmSharded(cfg Config, p Profile, spec RealmSpec, realmIdx int) *realm
 		rates[c] = p.FlowsPerTick * ClassRate(p, c)
 	}
 
-	base := subscriberBase
-	subs := buildSubscribers(rng, p, spec, base, &out.classSubs)
+	subs := buildSubscribers(rng, p, spec, &out.classSubs)
 	numAtk := attackerCount(p, len(subs))
 	markAttackers(subs, numAtk, &out.classSubs)
 	attacks := p.AttacksEnabled()
@@ -240,7 +236,7 @@ func runRealmSharded(cfg Config, p Profile, spec RealmSpec, realmIdx int) *realm
 	// receive no legitimate arrivals and stay out of the class census.
 	shards := make([]*shardState, S)
 	for s := range shards {
-		shards[s] = &shardState{freeHead: -1}
+		shards[s] = &shardState{}
 	}
 	for l := 0; l < sn.NumLanes(); l++ {
 		st := shards[sn.ShardOf(l)]
@@ -263,7 +259,7 @@ func runRealmSharded(cfg Config, p Profile, spec RealmSpec, realmIdx int) *realm
 	}
 	for _, st := range shards {
 		st.lc = NewLiveCounts(st.classSubs)
-		st.arena = make([]flowNode, 0, 4*st.nsubs)
+		st.flows = newFlowArena(4 * st.nsubs)
 		if faulty {
 			st.degA = make([]uint64, p.Ticks)
 			st.degF = make([]uint64, p.Ticks)
@@ -279,27 +275,7 @@ func runRealmSharded(cfg Config, p Profile, spec RealmSpec, realmIdx int) *realm
 	// replaces sn wholesale and must re-arm the fresh lanes.
 	installHooks := func() {
 		for l := 0; l < sn.NumLanes(); l++ {
-			st := shards[sn.ShardOf(l)]
-			sn.Lane(l).SetMappingHooks(
-				func(m *nat.Mapping) {
-					if j := uint32(m.Int.Addr - base); j < uint32(len(subs)) {
-						sub := &subs[j]
-						if !sub.attacker {
-							st.lc.Move(sub.class, sub.live, sub.live+1)
-						}
-						sub.live++
-					}
-				},
-				func(m *nat.Mapping) {
-					if j := uint32(m.Int.Addr - base); j < uint32(len(subs)) {
-						sub := &subs[j]
-						if !sub.attacker {
-							st.lc.Move(sub.class, sub.live, sub.live-1)
-						}
-						sub.live--
-					}
-				},
-			)
+			sn.Lane(l).SetMappingHooks(liveHooks(subs, &shards[sn.ShardOf(l)].lc))
 		}
 	}
 	installHooks()
@@ -375,15 +351,10 @@ func runRealmSharded(cfg Config, p Profile, spec RealmSpec, realmIdx int) *realm
 		st.emit = func(i, k int) {
 			j := st.curList[i]
 			sub := &subs[j]
-			fr := st.curFr
 			for ; k > 0; k-- {
-				dstSeq[st.curLane]++
-				seq := dstSeq[st.curLane]
-				f := netaddr.FlowOf(netaddr.UDP,
-					netaddr.EndpointOf(sub.addr, uint16(1024+fr.Intn(64512))),
-					netaddr.EndpointOf(dstBase+netaddr.Addr(uint32(seq)), uint16(443+(seq>>32))))
-				hold := 1 + fr.Intn(holdSpan)
-				_, ref, v := st.curLn.TranslateOutRef(f, curNow)
+				f, hold := st.curFr.ArrivalFlow(sub.addr, &dstSeq[st.curLane], holdSpan)
+				wasEmpty := sub.flows.Empty()
+				v := st.flows.Open(&sub.flows, st.curLn, f, hold, curNow)
 				if attacks {
 					st.adv.legitAttempts++
 					if v != nat.Ok {
@@ -396,24 +367,9 @@ func runRealmSharded(cfg Config, p Profile, spec RealmSpec, realmIdx int) *realm
 						st.degF[curTick]++
 					}
 				}
-				if v == nat.Ok {
-					var ni int32
-					if st.freeHead >= 0 {
-						ni = st.freeHead
-						st.freeHead = st.arena[ni].next
-					} else {
-						st.arena = append(st.arena, flowNode{})
-						ni = int32(len(st.arena) - 1)
-					}
-					st.arena[ni] = flowNode{f: f, ref: ref, ticksLeft: int32(hold), next: -1}
-					if sub.tail >= 0 {
-						st.arena[sub.tail].next = ni
-					} else {
-						sub.head = ni
-						// Empty-to-nonempty: enters next tick's worklist.
-						st.fresh = append(st.fresh, j)
-					}
-					sub.tail = ni
+				if v == nat.Ok && wasEmpty {
+					// Empty-to-nonempty: enters next tick's worklist.
+					st.fresh = append(st.fresh, j)
 				}
 			}
 		}
@@ -433,47 +389,16 @@ func runRealmSharded(cfg Config, p Profile, spec RealmSpec, realmIdx int) *realm
 		w := 0
 		for _, ji := range act {
 			sub := &subs[ji]
-			ln := sn.Lane(int(laneOf[ji]))
-			prev := int32(-1)
-			for idx := sub.head; idx >= 0; {
-				nd := &st.arena[idx]
-				next := nd.next
-				ok := ln.Refresh(nd.ref, nd.f.Dst, now)
-				if !ok {
-					var v nat.Verdict
-					_, nd.ref, v = ln.TranslateOutRef(nd.f, now)
-					ok = v == nat.Ok
-					// A re-establishment is a legitimate allocation
-					// attempt — during an outage this is exactly where
-					// displaced flows hit the surviving lanes.
-					if st.degA != nil {
-						st.degA[curTick]++
-						if !ok {
-							st.degF[curTick]++
-						}
-					}
-				}
-				if ok {
-					st.refreshes++
-				}
-				nd.ticksLeft--
-				if nd.ticksLeft > 0 && ok {
-					prev = idx
-				} else {
-					if prev >= 0 {
-						st.arena[prev].next = next
-					} else {
-						sub.head = next
-					}
-					if next < 0 {
-						sub.tail = prev
-					}
-					nd.next = st.freeHead
-					st.freeHead = idx
-				}
-				idx = next
+			refreshed, attempts, failures := st.flows.Refresh(&sub.flows, sn.Lane(int(laneOf[ji])), now)
+			st.refreshes += uint64(refreshed)
+			// A re-establishment is a legitimate allocation attempt —
+			// during an outage this is exactly where displaced flows hit
+			// the surviving lanes.
+			if st.degA != nil {
+				st.degA[curTick] += uint64(attempts)
+				st.degF[curTick] += uint64(failures)
 			}
-			if sub.head >= 0 {
+			if !sub.flows.Empty() {
 				act[w] = ji
 				w++
 			}
@@ -606,9 +531,7 @@ func runRealmSharded(cfg Config, p Profile, spec RealmSpec, realmIdx int) *realm
 				subs[j].live = 0
 			}
 			for _, st := range shards {
-				for i := range st.arena {
-					st.arena[i].ref = nat.MappingRef{}
-				}
+				st.flows.ClearRefs()
 			}
 		}
 		// Re-pin: compute every subscriber's new active lane, then drop
@@ -625,7 +548,7 @@ func runRealmSharded(cfg Config, p Profile, spec RealmSpec, realmIdx int) *realm
 			}
 			ll := int32(l)
 			out.disrupted += uint64(sn.Lane(l).DropMatching(func(m *nat.Mapping) bool {
-				j := uint32(m.Int.Addr - base)
+				j := uint32(m.Int.Addr - subscriberBase)
 				return j < uint32(len(subs)) && newLane[j] != ll
 			}))
 		}
@@ -642,13 +565,13 @@ func runRealmSharded(cfg Config, p Profile, spec RealmSpec, realmIdx int) *realm
 			laneAtk[l] = laneAtk[l][:0]
 		}
 		type rebuilt struct {
-			arena  []flowNode
+			flows  FlowArena
 			active []int32
 		}
 		nw := make([]rebuilt, S)
 		for s, st := range shards {
 			st.nsubs, st.classSubs = 0, [3]int{}
-			nw[s].arena = make([]flowNode, 0, cap(st.arena))
+			nw[s].flows = newFlowArena(cap(st.flows.nodes))
 			nw[s].active = make([]int32, 0, cap(st.active))
 		}
 		for j := range subs {
@@ -672,31 +595,21 @@ func runRealmSharded(cfg Config, p Profile, spec RealmSpec, realmIdx int) *realm
 				st.nsubs++
 				st.classSubs[sub.class]++
 			}
-			if sub.head >= 0 {
-				ns := sn.ShardOf(l)
-				a := nw[ns].arena
-				head, tail := int32(-1), int32(-1)
-				for idx := sub.head; idx >= 0; idx = oldSt.arena[idx].next {
-					nd := oldSt.arena[idx]
+			if !sub.flows.Empty() {
+				dst := &nw[sn.ShardOf(l)]
+				var relinked FlowList
+				oldSt.flows.Walk(sub.flows, func(f netaddr.Flow, ref nat.MappingRef, ticksLeft int32) {
 					if moved {
-						nd.ref = nat.MappingRef{}
+						ref = nat.MappingRef{}
 					}
-					a = append(a, flowNode{f: nd.f, ref: nd.ref, ticksLeft: nd.ticksLeft, next: -1})
-					ni := int32(len(a) - 1)
-					if tail >= 0 {
-						a[tail].next = ni
-					} else {
-						head = ni
-					}
-					tail = ni
-				}
-				nw[ns].arena = a
-				sub.head, sub.tail = head, tail
-				nw[ns].active = append(nw[ns].active, int32(j))
+					dst.flows.Push(&relinked, f, ref, ticksLeft)
+				})
+				sub.flows = relinked
+				dst.active = append(dst.active, int32(j))
 			}
 		}
 		for s, st := range shards {
-			st.arena, st.freeHead = nw[s].arena, -1
+			st.flows = nw[s].flows
 			st.active = nw[s].active
 			st.fresh, st.scratch = st.fresh[:0], st.scratch[:0]
 			st.lc = NewLiveCounts(st.classSubs)
@@ -704,7 +617,7 @@ func runRealmSharded(cfg Config, p Profile, spec RealmSpec, realmIdx int) *realm
 		for j := range subs {
 			sub := &subs[j]
 			if !sub.attacker && sub.live > 0 {
-				shards[sn.ShardOf(int(laneOf[j]))].lc.Rebucket(sub.class, sub.live)
+				shards[sn.ShardOf(int(laneOf[j]))].lc.Move(sub.class, 0, sub.live)
 			}
 		}
 	}

@@ -196,28 +196,15 @@ func (a AdversarialStats) AttackerFailRate() float64 {
 // Enabled reports whether the run simulated any time.
 func (r *Result) Enabled() bool { return r.Profile.Enabled() && len(r.Realms) > 0 }
 
-// flowNode is one live subscriber flow in a realm's arena. Nodes are
-// linked per subscriber in arrival (FIFO) order — the order allocation
-// retries hit the NAT in, which the determinism contract pins — and
-// recycled through the arena freelist, so steady-state ticks never
-// allocate. ref is the flow's mapping handle: while ticksLeft > 0 the
-// flow refreshes the mapping through it every tick.
-type flowNode struct {
-	f         netaddr.Flow
-	ref       nat.MappingRef
-	ticksLeft int32
-	next      int32
-}
-
-// subscriber is one internal endpoint population member. head/tail
-// index the subscriber's flow list in the realm arena (-1 when empty);
-// live is the incrementally maintained live-mapping count — what
-// nat.Sessions would report — fed by the NAT's create/expire hooks.
+// subscriber is one internal endpoint population member. flows is the
+// subscriber's list in its flow arena; live is the incrementally
+// maintained live-mapping count — what nat.Sessions would report — fed
+// by the NAT's create/expire hooks.
 type subscriber struct {
-	addr       netaddr.Addr
-	class      Class
-	head, tail int32
-	live       int32
+	addr  netaddr.Addr
+	class Class
+	flows FlowList
+	live  int32
 	// attacker marks a flooder: it offers no legitimate flows and its
 	// live count samples into the adversarial histogram, not the class
 	// buckets.
@@ -321,7 +308,7 @@ func (h *Hist) Max() int {
 
 // subscriberBase anchors the dense synthetic 10.64/16-style internal
 // address block both engines place subscribers in; dstBase anchors the
-// synthetic remote-destination space.
+// synthetic remote-destination space arrivalFlow draws from.
 var (
 	subscriberBase = netaddr.MustParseAddr("10.64.0.1")
 	dstBase        = netaddr.MustParseAddr("8.0.0.0")
@@ -384,19 +371,37 @@ func NewLiveCounts(classSubs [3]int) *LiveCounts {
 	return lc
 }
 
-// Move shifts one class-c subscriber from bucket from to bucket to.
-// Hooks only ever move by one, so after the doubling grow, to is always
-// in range.
+// Move shifts one class-c subscriber from bucket from to bucket to,
+// doubling the table until to is in range: hooks move by one, but a
+// census rebuild moves a subscriber from 0 straight to its live count.
 func (lc *LiveCounts) Move(c Class, from, to int32) {
 	s := lc.cnt[c]
 	s[from]--
-	if int(to) >= len(s) {
+	for int(to) >= len(s) {
 		grown := make([]uint64, 2*len(s))
 		copy(grown, s)
 		lc.cnt[c] = grown
 		s = grown
 	}
 	s[to]++
+}
+
+// liveHooks returns the NAT mapping hooks that keep each subscriber's
+// live count current, and with it the buckets of whatever LiveCounts *lc
+// holds when a hook fires. Subscriber addresses are dense above
+// subscriberBase, so a hook resolves the owner with one subtraction.
+// Attackers keep their live count but stay out of the class buckets.
+func liveHooks(subs []subscriber, lc **LiveCounts) (onCreate, onExpire func(*nat.Mapping)) {
+	move := func(m *nat.Mapping, d int32) {
+		if j := uint32(m.Int.Addr - subscriberBase); j < uint32(len(subs)) {
+			sub := &subs[j]
+			if !sub.attacker {
+				(*lc).Move(sub.class, sub.live, sub.live+d)
+			}
+			sub.live += d
+		}
+	}
+	return func(m *nat.Mapping) { move(m, 1) }, func(m *nat.Mapping) { move(m, -1) }
 }
 
 // Fold samples every tracked subscriber once — at its current bucket
@@ -414,10 +419,11 @@ func (lc *LiveCounts) Fold(classHists *[3]Hist, all *Hist) {
 
 // buildSubscribers draws the realm population: one class draw per
 // subscriber in address order — the draw sequence both engines share —
-// over dense synthetic internal addresses above base (synthetic because
-// they never leave the engine; dense so RandomChunk's chunk table and
-// the hooks' address-to-index subtraction both work).
-func buildSubscribers(rng *rand.Rand, p Profile, spec RealmSpec, base netaddr.Addr, classSubs *[3]int) []subscriber {
+// over dense synthetic internal addresses above subscriberBase
+// (synthetic because they never leave the engine; dense so
+// RandomChunk's chunk table and the hooks' address-to-index subtraction
+// both work).
+func buildSubscribers(rng *rand.Rand, p Profile, spec RealmSpec, classSubs *[3]int) []subscriber {
 	subs := make([]subscriber, spec.Subscribers)
 	for j := range subs {
 		class := Median
@@ -427,12 +433,7 @@ func buildSubscribers(rng *rand.Rand, p Profile, spec RealmSpec, base netaddr.Ad
 		case x < p.HeavyFrac+p.LightFrac:
 			class = Light
 		}
-		subs[j] = subscriber{
-			addr:  base + netaddr.Addr(j),
-			class: class,
-			head:  -1,
-			tail:  -1,
-		}
+		subs[j] = subscriber{addr: subscriberBase + netaddr.Addr(j), class: class}
 		classSubs[class]++
 	}
 	return subs
@@ -711,39 +712,17 @@ func runRealm(cfg Config, p Profile, spec RealmSpec, realmIdx int) *realmOut {
 		rates[c] = p.FlowsPerTick * ClassRate(p, c)
 	}
 
-	base := subscriberBase
-	subs := buildSubscribers(rng, p, spec, base, &out.classSubs)
+	subs := buildSubscribers(rng, p, spec, &out.classSubs)
 	numAtk := attackerCount(p, len(subs))
 	markAttackers(subs, numAtk, &out.classSubs)
 
 	// Incremental per-subscriber live-port counts: instead of probing
 	// nat.Sessions for every subscriber every tick, the NAT's mapping
 	// hooks maintain subscriber.live and the class-keyed bucket counts
-	// the per-tick sampling fold reads. Subscriber addresses are dense
-	// above base, so a hook resolves the owner with one subtraction.
-	// Attackers keep their live count but stay out of the class buckets;
-	// the adversarial pass samples them into its own histogram.
+	// the per-tick sampling fold reads. The adversarial pass samples
+	// attackers into its own histogram.
 	lc := NewLiveCounts(out.classSubs)
-	n.SetMappingHooks(
-		func(m *nat.Mapping) {
-			if j := uint32(m.Int.Addr - base); j < uint32(len(subs)) {
-				sub := &subs[j]
-				if !sub.attacker {
-					lc.Move(sub.class, sub.live, sub.live+1)
-				}
-				sub.live++
-			}
-		},
-		func(m *nat.Mapping) {
-			if j := uint32(m.Int.Addr - base); j < uint32(len(subs)) {
-				sub := &subs[j]
-				if !sub.attacker {
-					lc.Move(sub.class, sub.live, sub.live-1)
-				}
-				sub.live--
-			}
-		},
-	)
+	n.SetMappingHooks(liveHooks(subs, &lc))
 
 	// Adversarial state, touched only when the profile offers attacks:
 	// the flood/scanner RNG is its own stream (atkSeedMix), so the
@@ -767,12 +746,9 @@ func runRealm(cfg Config, p Profile, spec RealmSpec, realmIdx int) *realmOut {
 		scanSpan = int(eff.PortHi) - int(eff.PortLo) + 1
 	}
 
-	// The realm flow arena: all subscribers' flow lists live in one
-	// slice, dead nodes chain through the freelist. Steady-state ticks
-	// therefore allocate nothing — the arena grows to the realm's peak
-	// concurrent flow count and is recycled from then on.
-	arena := make([]flowNode, 0, 4*spec.Subscribers)
-	freeHead := int32(-1)
+	// The realm flow arena grows to the realm's peak concurrent flow
+	// count and is recycled from then on.
+	flows := newFlowArena(4 * spec.Subscribers)
 
 	epoch := time.Unix(0, 0)
 	var dstSeq uint64
@@ -789,85 +765,29 @@ func runRealm(cfg Config, p Profile, spec RealmSpec, realmIdx int) *realmOut {
 
 		for j := range subs {
 			sub := &subs[j]
-			// Refresh live flows through their mapping handles. A stale
-			// handle (the mapping idled out, or its struct was dropped)
-			// falls back to the full translation path, which re-creates
-			// the mapping exactly as the packet would; if even that
-			// fails (port space or quota now exhausted) the flow dies.
-			prev := int32(-1)
-			for idx := sub.head; idx >= 0; {
-				nd := &arena[idx]
-				next := nd.next
-				ok := n.Refresh(nd.ref, nd.f.Dst, now)
-				if !ok {
-					var v nat.Verdict
-					_, nd.ref, v = n.TranslateOutRef(nd.f, now)
-					ok = v == nat.Ok
-				}
-				if ok {
-					out.refreshes++
-				}
-				nd.ticksLeft--
-				if nd.ticksLeft > 0 && ok {
-					prev = idx
-				} else {
-					// Unlink and recycle the node.
-					if prev >= 0 {
-						arena[prev].next = next
-					} else {
-						sub.head = next
-					}
-					if next < 0 {
-						sub.tail = prev
-					}
-					nd.next = freeHead
-					freeHead = idx
-				}
-				idx = next
-			}
+			// Refresh live flows through their mapping handles; a flow
+			// that can get no mapping (port space or quota now exhausted)
+			// dies.
+			refreshed, _, _ := flows.Refresh(&sub.flows, n, now)
+			out.refreshes += uint64(refreshed)
 
-			// New flow arrivals under the diurnal curve. Each flow gets
-			// a fresh source port (distinct mappings on cone NATs) and a
-			// fresh destination (distinct mappings on symmetric NATs).
-			// Attackers draw nothing here — their flood runs on its own
-			// stream after the legitimate pass.
+			// New flow arrivals under the diurnal curve. Attackers draw
+			// nothing here — their flood runs on its own stream after the
+			// legitimate pass.
 			k := 0
 			if !sub.attacker && rates[sub.class]*df > 0 {
 				k = poisson(rng, expNegLambda[sub.class])
 			}
 			for ; k > 0; k-- {
 				dstSeq++
-				// The destination address carries the low 32 bits of the
-				// sequence and the port the next 16, so 5-tuples stay
-				// distinct for 2^48 flows per realm; below 2^32 the
-				// address alone varies and the port is exactly 443.
-				f := netaddr.FlowOf(netaddr.UDP,
-					netaddr.EndpointOf(sub.addr, uint16(1024+rng.Intn(64512))),
-					netaddr.EndpointOf(dstBase+netaddr.Addr(uint32(dstSeq)), uint16(443+(dstSeq>>32))))
+				f := arrivalFlow(sub.addr, dstSeq, uint16(1024+rng.Intn(64512)))
 				hold := 1 + rng.Intn(2*p.FlowHoldTicks-1)
-				_, ref, v := n.TranslateOutRef(f, now)
+				v := flows.Open(&sub.flows, n, f, int32(hold), now)
 				if adv != nil {
 					adv.legitAttempts++
 					if v != nat.Ok {
 						adv.legitFailures++
 					}
-				}
-				if v == nat.Ok {
-					var ni int32
-					if freeHead >= 0 {
-						ni = freeHead
-						freeHead = arena[ni].next
-					} else {
-						arena = append(arena, flowNode{})
-						ni = int32(len(arena) - 1)
-					}
-					arena[ni] = flowNode{f: f, ref: ref, ticksLeft: int32(hold), next: -1}
-					if sub.tail >= 0 {
-						arena[sub.tail].next = ni
-					} else {
-						sub.head = ni
-					}
-					sub.tail = ni
 				}
 			}
 		}
